@@ -3,7 +3,9 @@
 Every subcommand emits a result document: the echoed configuration, the tool
 version, a payload, and the wall-clock duration.  Payloads are a pure
 function of the configuration (seeds included), so two runs with the same
-flags agree byte for byte once the duration field is set aside.  Exit codes:
+flags agree byte for byte once the duration field is set aside.  A JSON
+document is laid out exactly as `json.dumps(doc, indent=2, sort_keys=True)`
+would lay it out (see `_render_json`).  Exit codes:
 0 success, 1 failed verification, 2 bad flags, 3 bad input, 4 refused
 enumeration size.
 """
@@ -17,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -204,30 +207,35 @@ def cmd_boxes(args) -> dict:
     order = [int(tok) for tok in args.order.split(",")] if args.order else None
     trace = boxes_experiment(args.boxes, args.ball, order)
     verdict = determinism_check(trace, epsilon=args.epsilon)
-    rows = [("step", "box_or_axis", "outcome", "entropy_bits", "state_components")]
-    rows.append(("0", "", "", _fmt(trace.entropies[0]), _state_cell(trace.initial_state.probs)))
-    step_rows = []
-    for k, step in enumerate(trace.steps, start=1):
-        outcome = "found" if step.found else "empty"
-        rows.append((str(k), str(step.box), outcome, _fmt(step.entropy_bits), _state_cell(step.state.probs)))
-        step_rows.append(
-            {
-                "step": k,
-                "box": step.box,
-                "outcome": outcome,
-                "entropy_bits": step.entropy_bits,
-                "state": [float(v) for v in step.state.probs],
-            }
-        )
+    step_docs = [
+        {
+            "step": k,
+            "box": step.box,
+            "outcome": "found" if step.found else "empty",
+            "entropy_bits": step.entropy_bits,
+            "state": step.state.probs,
+        }
+        for k, step in enumerate(trace.steps, start=1)
+    ]
     payload = {
         "n_boxes": trace.n_boxes,
         "ball_index": trace.ball_index,
         "opening_order": list(trace.opening_order),
-        "initial_state": [float(v) for v in trace.initial_state.probs],
-        "steps": step_rows,
+        "initial_state": trace.initial_state.probs,
+        "steps": step_docs,
         "entropies": trace.entropies,
         "verdict": _verdict_dict(verdict),
     }
+    rows = None
+    if args.format == "csv":
+        rows = [
+            ("step", "box_or_axis", "outcome", "entropy_bits", "state_components"),
+            ("0", "", "", _fmt(trace.entropies[0]), _state_cell(trace.initial_state.probs)),
+        ]
+        rows += [
+            (str(d["step"]), str(d["box"]), d["outcome"], _fmt(d["entropy_bits"]), _state_cell(d["state"]))
+            for d in step_docs
+        ]
     return {"payload": payload, "rows": rows, "exit": 0}
 
 
@@ -274,7 +282,7 @@ def cmd_qubit(args) -> dict:
 
 
 def _state_cell(components) -> str:
-    return ";".join(_fmt(v) for v in components)
+    return _join_distinct(components, _fmt, ";")
 
 
 def _verdict_dict(verdict) -> dict:
@@ -303,6 +311,88 @@ def _atomic_write(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _float_text(x: float) -> str:
+    """A float as `json.dumps` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _join_distinct(values: np.ndarray, fmt, sep: str) -> str:
+    """`sep.join(fmt(v) for v in values)` for a float64 vector, calling `fmt`
+    once per distinct value.  Values are told apart by their bits, so -0.0
+    keeps its own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return sep.join(texts[inverse].tolist())
+
+
+def _render_json(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True) + "\\n"`, byte for byte.
+
+    Besides the json types (dict keys must be strings) it takes ndarrays,
+    which render as the list of their values.  A float64 vector is rendered
+    in one join over its distinct values, not element by element."""
+    chunks: list = []
+    _write_json(doc, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, out: list, newline: str) -> None:
+    """Append the chunks of `obj`; `newline` is "\\n" plus the indent of its line."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 1 or obj.dtype != np.float64:
+            _write_json(obj.tolist(), out, newline)
+        elif obj.size == 0:
+            out.append("[]")
+        else:
+            inner = newline + "  "
+            out += ("[", inner, _join_distinct(obj, _float_text, "," + inner), newline, "]")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out += (newline, "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _render_csv(rows) -> str:
@@ -393,11 +483,15 @@ def main(argv=None) -> int:
             "payload": result["payload"],
             "duration_seconds": duration,
         }
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = _render_json(document)
 
-    sys.stdout.write(text)
     if args.out:
-        _atomic_write(args.out, text)
+        try:
+            _atomic_write(args.out, text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+    sys.stdout.write(text)
     return result["exit"]
 
 

@@ -46,4 +46,4 @@ class InvalidPermutation(OrderContextError, ValueError):
 
 
 class InvalidStateError(OrderContextError, ValueError):
-    """Probability vector is not a state: negative mass or wrong total."""
+    """Not a state: a non-finite entry, negative mass or wrong total."""

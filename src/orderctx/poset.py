@@ -72,6 +72,7 @@ class FinitePoset:
         self.leq.setflags(write=False)
         self._family = None
         self._wb = None
+        self._rows = None
 
     @classmethod
     def from_cover_relations(cls, elements: Sequence[str], covers: Iterable[Sequence[str]]) -> "FinitePoset":
@@ -117,7 +118,18 @@ class FinitePoset:
 
     def holds(self, x: str, y: str) -> bool:
         """Whether x is below y in the information order."""
-        return bool(self.leq[self.index(x), self.index(y)])
+        # Label-keyed rows of ``leq``, built on first use: brute-force checks
+        # call this hundreds of millions of times, and two dict lookups cost
+        # far less than two index() calls plus numpy scalar indexing.
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {
+                label: dict(zip(self.elements, row)) for label, row in zip(self.elements, self.leq.tolist())
+            }
+        try:
+            return rows[x][y]
+        except KeyError as exc:
+            raise UnknownLabelError(exc.args[0]) from None
 
     def _subset_indices(self, subset: Iterable[str]) -> np.ndarray:
         idx = sorted({self.index(label) for label in subset})
@@ -322,10 +334,12 @@ def poset_from_dict(doc: dict) -> FinitePoset:
         raise ValueError("poset document needs `elements` and `covers` fields")
     elements = doc["elements"]
     covers = doc["covers"]
-    if not all(isinstance(e, str) for e in elements):
+    if not isinstance(elements, (list, tuple)) or not all(isinstance(e, str) for e in elements):
         raise ValueError("`elements` must be an array of strings")
+    if not isinstance(covers, (list, tuple)):
+        raise ValueError("`covers` must be an array")
     for pair in covers:
-        if len(pair) != 2 or not all(isinstance(p, str) for p in pair):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(isinstance(p, str) for p in pair):
             raise ValueError("`covers` must contain two-element string arrays")
     return FinitePoset.from_cover_relations(elements, covers)
 

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, ParameterOutOfRange
+from .errors import DimensionMismatch, InvalidDimension, InvalidStateError, ParameterOutOfRange
 
 # Components this close to zero are rounding dust from sin/cos at right
 # angles; snapping them makes orthogonal axes exactly orthogonal.
@@ -89,6 +89,8 @@ class QubitState:
         if vec.size != 3:
             raise InvalidDimension("a Bloch vector has three components")
         norm = float(np.linalg.norm(vec))
+        if not math.isfinite(norm):
+            raise InvalidStateError(f"non-finite component in {vec!r}")
         if abs(norm - 1.0) > 1e-9:
             raise ParameterOutOfRange(f"Bloch vector norm {norm!r} is not 1")
         vec.setflags(write=False)
@@ -195,6 +197,8 @@ class NBasis:
             raise InvalidDimension("basis must be a square column matrix")
         if mat.shape[0] < 1:
             raise InvalidDimension("basis needs at least one vector")
+        if not np.isfinite(mat).all():
+            raise InvalidStateError("basis has a non-finite entry")
         gram = mat.conj().T @ mat
         if np.abs(gram - np.eye(mat.shape[0])).max() > 1e-9:
             raise ParameterOutOfRange("columns are not orthonormal")

@@ -10,6 +10,8 @@ strictly upward.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -41,6 +43,8 @@ class ClassicalState:
             raise InvalidStateError(f"negative component in {arr!r}")
         arr[arr < 0.0] = 0.0
         total = float(arr.sum())
+        if not math.isfinite(total):  # a NaN or inf component; NaN fails every comparison
+            raise InvalidStateError(f"non-finite component in {arr!r}")
         if abs(total - 1.0) > _SUM_TOL:
             raise InvalidStateError(f"components sum to {total!r}, not 1")
         arr.setflags(write=False)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import orderctx
@@ -167,6 +169,22 @@ class TestPosetCommand:
         )
         assert main(["poset", path]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"elements": ["a"], "covers": 3},
+            {"elements": ["a"], "covers": [5]},
+            {"elements": "abc", "covers": [["a", "b"]]},
+        ],
+    )
+    def test_badly_typed_document_is_input_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["poset", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
     def test_oversized_poset_is_refused(self, capsys, tmp_path):
         elements = [f"e{k}" for k in range(16)]
@@ -367,6 +385,15 @@ class TestPlumbing:
         assert target.read_text(encoding="utf-8") == out
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "result.json"
+        code = main(["context", "z", "x", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not target.exists()
+
     def test_payloads_reproduce_across_runs(self, capsys):
         cases = [
             ["axioms", "--samples", "50"],
@@ -397,3 +424,97 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["payload"]["value_bits"] == 1.0
+
+
+def json_oracle(text):
+    """The stdlib's own rendering of the same document: the layout contract."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonLayout:
+    ORDER_12 = ",".join(str((5 * k) % 12) for k in range(12))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["axioms", "--samples", "30"],
+            ["context", "z", "x"],
+            ["context", "0", "0.7"],
+            ["sweep", "--points", "6"],
+            ["boxes", "--boxes", "7", "--ball", "5"],
+            ["boxes", "--boxes", "12", "--ball", "9", "--order", ORDER_12],
+            ["qubit", "--axes", "x", "x", "--trials", "40"],
+            ["qubit", "--input", "1.1,0.4-", "--axes", "z", "0.3,2.0", "y", "--trials", "30"],
+        ],
+    )
+    def test_document_is_stdlib_layout(self, capsys, argv):
+        main(argv)
+        text = capsys.readouterr().out
+        assert text == json_oracle(text)
+
+    def test_poset_labels_with_escapes(self, capsys, tmp_path):
+        labels = ["böttöm", 'q"uote', "back\\slash", "日本", "tab\there"]
+        covers = [[labels[0], labels[k]] for k in (1, 2, 3)] + [[labels[k], labels[4]] for k in (1, 2, 3)]
+        main(["poset", write_poset(tmp_path, elements=labels, covers=covers)])
+        text = capsys.readouterr().out
+        assert text == json_oracle(text)
+        assert text.isascii()
+        assert json.loads(text)["payload"]["elements"] == labels
+
+    def test_boxes_csv_is_pinned(self, capsys):
+        order = ",".join(str((7 * k) % 60) for k in range(60))
+        assert main(["boxes", "--boxes", "60", "--ball", "41", "--order", order, "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\r\n") == 26
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "b5c8e52aec674e9e5d134450b2563856be2a62d9093f83a17df98b43f26bb440"
+
+
+class TestResultWriter:
+    def stdlib(self, obj):
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            -0.0,
+            5e-324,
+            1e16,
+            [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 0.1, 2.0 / 3.0],
+            {"nan": float("nan"), "inf": float("inf"), "ninf": float("-inf")},
+            [],
+            {},
+            [[], {}, [[]], {"a": {}}],
+            {"b": [1, True, None, "x"], "a": False, "c": {"z": 1.5, "y": [-3]}},
+            "pläin \"quoted\" \\ \n☃",
+        ],
+    )
+    def test_matches_stdlib(self, obj):
+        assert cli._render_json(obj) == self.stdlib(obj)
+
+    def test_float_vector(self):
+        values = [0.25, -0.0, 0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf"), 0.25, -0.0, 1 / 3]
+        arr = np.array(values)
+        doc = {"v": arr, "nested": [arr, {"w": arr[:3]}]}
+        expected = {"v": values, "nested": [values, {"w": values[:3]}]}
+        assert cli._render_json(doc) == self.stdlib(expected)
+
+    def test_empty_and_read_only_vectors(self):
+        empty = np.zeros(0)
+        frozen = np.array([0.5, 0.5])
+        frozen.setflags(write=False)
+        doc = {"empty": empty, "frozen": frozen}
+        assert cli._render_json(doc) == self.stdlib({"empty": [], "frozen": [0.5, 0.5]})
+
+    def test_other_arrays_render_as_lists(self):
+        doc = [np.array([[1.0, -0.0], [2.5, 1e16]]), np.array([3, 4]), np.array([True, False])]
+        expected = [[[1.0, -0.0], [2.5, 1e16]], [3, 4], [True, False]]
+        assert cli._render_json(doc) == self.stdlib(expected)
+
+    def test_rejects_unknown_types(self):
+        with pytest.raises(TypeError):
+            cli._render_json({"x": object()})
+
+    def test_state_cell_keeps_signed_zero(self):
+        assert cli._state_cell(np.array([0.0, -0.0, 0.5, 1 / 3, 0.5])) == "0;-0;0.5;0.333333333333;0.5"
+        assert cli._state_cell(np.zeros(0)) == ""

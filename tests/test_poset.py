@@ -39,6 +39,17 @@ class TestConstruction:
         assert not p.holds("c", "a")
         assert p.holds("b", "b")
 
+    def test_holds_matches_relation_matrix(self):
+        p = diamond()
+        for i, x in enumerate(p.elements):
+            for j, y in enumerate(p.elements):
+                assert p.holds(x, y) is bool(p.leq[i, j])
+
+    @pytest.mark.parametrize("pair", [("zz", "a"), ("a", "zz")])
+    def test_holds_rejects_unknown_label(self, pair):
+        with pytest.raises(UnknownLabelError, match="zz"):
+            chain("a", "b").holds(*pair)
+
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
             FinitePoset.from_cover_relations(["a", "b"], [["a", "b"], ["b", "a"]])
@@ -237,3 +248,15 @@ class TestSerialization:
             poset_from_dict({"elements": ["a"], "covers": [["a"]]})
         with pytest.raises(ValueError):
             poset_from_dict({"elements": [1], "covers": []})
+
+    def test_covers_not_an_array(self):
+        with pytest.raises(ValueError):
+            poset_from_dict({"elements": ["a"], "covers": 3})
+
+    def test_cover_entry_not_an_array(self):
+        with pytest.raises(ValueError):
+            poset_from_dict({"elements": ["a"], "covers": [5]})
+
+    def test_elements_string_is_not_split(self):
+        with pytest.raises(ValueError):
+            poset_from_dict({"elements": "abc", "covers": [["a", "b"]]})

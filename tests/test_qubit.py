@@ -7,6 +7,7 @@ from orderctx import (
     BlochAxis,
     DimensionMismatch,
     InvalidDimension,
+    InvalidStateError,
     NBasis,
     ParameterOutOfRange,
     QubitState,
@@ -72,6 +73,11 @@ class TestQubitState:
     def test_validates_norm(self):
         with pytest.raises(ParameterOutOfRange):
             QubitState([1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bloch", [[math.nan, 0.0, 0.0], [0.0, 0.0, math.inf], [math.nan, math.nan, 1.0]])
+    def test_rejects_nonfinite(self, bloch):
+        with pytest.raises(InvalidStateError):
+            QubitState(bloch)
 
     def test_validates_shape(self):
         with pytest.raises(InvalidDimension):
@@ -177,6 +183,11 @@ class TestNBasis:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ParameterOutOfRange):
             NBasis([[1.0, 1.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("entry", [math.nan, complex(0.0, math.nan), math.inf])
+    def test_rejects_nonfinite(self, entry):
+        with pytest.raises(InvalidStateError):
+            NBasis([[1.0, 0.0], [0.0, entry]])
 
     def test_computational(self):
         b = NBasis.computational(4)

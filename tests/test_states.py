@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ class TestConstruction:
     def test_validates_sign(self):
         with pytest.raises(InvalidStateError):
             ClassicalState([1.1, -0.1])
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[math.nan, 1.0], [0.5, math.nan, 0.5], [math.inf, 0.0], [1.0, math.inf, -math.inf], [math.nan]],
+    )
+    def test_rejects_nonfinite(self, probs):
+        with pytest.raises(InvalidStateError):
+            ClassicalState(probs)
 
     def test_clips_rounding_dust(self):
         s = ClassicalState([1.0 + 1e-13, -1e-13])
