@@ -30,7 +30,6 @@ from .experiments import (
     DEFAULT_EPSILON,
     boxes_experiment,
     determinism_check,
-    fixed_basis_repeat,
     qubit_experiment,
 )
 from .measures import HARTLEY, SHANNON, AxiomReport, linear_combo, verify_axioms
@@ -100,10 +99,16 @@ def load_basis(path: str) -> NBasis:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "columns" not in doc:
         raise ValueError("basis document needs a `columns` field")
-    cols = []
-    for col in doc["columns"]:
-        cols.append([complex(entry[0], entry[1]) for entry in col])
-    return NBasis(np.array(cols, dtype=complex).T)
+    columns = doc["columns"]
+    if not isinstance(columns, list) or not all(isinstance(col, list) for col in columns):
+        raise ValueError("`columns` must be an array of arrays")
+    return NBasis(np.array([[_basis_entry(entry) for entry in col] for col in columns], dtype=complex).T)
+
+
+def _basis_entry(entry) -> complex:
+    if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) in (int, float) for v in entry)):
+        raise ValueError(f"basis entry {entry!r} is not a [re, im] pair of numbers")
+    return complex(*entry)
 
 
 def parse_basis_arg(arg: str):
@@ -243,6 +248,7 @@ def cmd_qubit(args) -> dict:
     axes = [parse_axis_token(tok) for tok in args.axes]
     input_state = parse_state_token(args.input)
     aggregate = qubit_experiment(input_state, axes, args.trials, args.seed)
+    same_axis_pair = len(axes) == 2 and axes[0] == axes[1]
     verdict = determinism_check(aggregate, epsilon=args.epsilon)
     sample = run_sequence(input_state, axes, philox_generator(args.seed, stream=0), seed=args.seed)
     rows = [("step", "box_or_axis", "outcome", "entropy_bits", "state_components")]
@@ -264,7 +270,8 @@ def cmd_qubit(args) -> dict:
         "empirical_frequencies": [list(pair) for pair in aggregate.empirical_frequencies],
         "distinct_maximal_states": aggregate.distinct_maximal_states,
         "repeat_probability": aggregate.same_axis_repeat_probability,
-        "fixed_basis_repeat": None,
+        # a same-axis pair: the aggregate's repeat fraction is the fixed-basis one
+        "fixed_basis_repeat": aggregate.same_axis_repeat_probability if same_axis_pair else None,
         "verdict": _verdict_dict(verdict),
         "sample_trace": [
             {
@@ -276,8 +283,6 @@ def cmd_qubit(args) -> dict:
             for k, step in enumerate(sample.steps, start=1)
         ],
     }
-    if len(axes) == 2 and axes[0] == axes[1]:
-        payload["fixed_basis_repeat"] = fixed_basis_repeat(axes[0], args.trials, args.seed, input_state)
     return {"payload": payload, "rows": rows, "exit": 0}
 
 

@@ -11,6 +11,7 @@ measure on common upper bounds.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InvalidDimension, ParameterOutOfRange, UnknownLabelError
 from .measures import shannon_bits
 from .poset import FinitePoset
-from .qubit import BlochAxis, NBasis, axis_transition_matrix, transition_matrix
+from .qubit import BlochAxis, NBasis, _plus_probability, axis_transition_matrix, transition_matrix
 
 _DEFAULT_TOL = 1e-9
 
@@ -49,8 +50,8 @@ def contextual_distance(a: BasisLike, b: BasisLike, tol: float = _DEFAULT_TOL) -
     Accepts two n-dimensional bases, or two qubit axes (which take the exact
     Bloch route, so identical and orthogonal axes hit 0 and 1 exactly).
     """
-    if tol <= 0.0:
-        raise ParameterOutOfRange("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ParameterOutOfRange("tolerance must be positive and finite")
     if isinstance(a, BlochAxis) and isinstance(b, BlochAxis):
         t = axis_transition_matrix(a, b)
     else:
@@ -89,8 +90,7 @@ def qubit_distance_curve(thetas: Iterable[float]) -> list:
     """
     values = []
     for theta in thetas:
-        d = min(1.0, max(-1.0, float(np.cos(theta))))
-        p = (1.0 + d) / 2.0
+        p = _plus_probability(float(np.cos(theta)))
         values.append(shannon_bits((p, 1.0 - p)))
     return values
 

@@ -10,6 +10,7 @@ while a qubit sequence that keeps switching axes never settles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -198,8 +199,8 @@ def determinism_check(
     epsilon: float = DEFAULT_EPSILON,
 ) -> DeterminismVerdict:
     """Classify a trace as deterministic, approximately so, or neither."""
-    if epsilon <= 0.0:
-        raise ParameterOutOfRange("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ParameterOutOfRange("epsilon must be positive and finite")
     if isinstance(trace, ClassicalTrace):
         column = trace.entropies
         exact = 0.0 in column

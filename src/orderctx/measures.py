@@ -35,7 +35,7 @@ def shannon_bits(x) -> float:
     Positive components are sorted ascending before accumulation, so any
     permutation of the input produces the exact same float.
     """
-    terms = sorted(float(p) for p in _as_probs(x) if p > 0.0)
+    terms = sorted(p for p in _as_probs(x).tolist() if p > 0.0)
     acc = 0.0
     for p in terms:
         acc -= p * math.log2(p)
@@ -58,6 +58,8 @@ class MeasurementFn:
     hartley_weight: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.shannon_weight) and math.isfinite(self.hartley_weight)):
+            raise ParameterOutOfRange("weights must be finite")
         if self.shannon_weight < 0.0 or self.hartley_weight < 0.0:
             raise ParameterOutOfRange("weights must be nonnegative")
         if self.shannon_weight == 0.0 and self.hartley_weight == 0.0:

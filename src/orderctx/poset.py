@@ -3,10 +3,11 @@
 A ``FinitePoset`` stores the full order relation as a boolean matrix, the way
 several of our earlier order-theory tools did.  On top of the order itself it
 exposes the approximation relation (defined through directed subsets and their
-suprema), compactness, bases, and a dcpo check.  All of these are computed by
-literal enumeration of directed subsets, which is exponential and therefore
-capped: the point of this module is to be an executable definition that larger
-claims can be tested against, not to scale.
+suprema), compactness, bases, and a dcpo check.  All of these are computed from
+the literal family of directed subsets, generated from their greatest elements.
+That family can be exponential in size and is therefore capped: the point of
+this module is to be an executable definition that larger claims can be tested
+against, not to scale.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class FinitePoset:
         if len(set(elements)) != len(elements):
             raise ValueError("duplicate element labels")
         n = len(elements)
-        leq = np.asarray(leq, dtype=bool)
+        leq = np.array(leq, dtype=bool)
         if leq.shape != (n, n):
             raise ValueError("relation matrix shape does not match element count")
         if not leq.diagonal().all():
@@ -63,8 +64,7 @@ class FinitePoset:
         if mutual.any():
             i, j = np.argwhere(mutual)[0]
             raise CycleError(f"{elements[i]!r} and {elements[j]!r} are mutually below each other")
-        reach = _transitive_closure(leq)
-        if (reach != leq).any():
+        if ((leq @ leq) != leq).any():
             raise ValueError("relation is not transitive")
         self.elements = elements
         self._index = {label: i for i, label in enumerate(elements)}
@@ -82,25 +82,15 @@ class FinitePoset:
         UnknownLabelError when a pair names a label not in ``elements``.
         """
         elements = tuple(elements)
-        if len(set(elements)) != len(elements):
-            raise ValueError("duplicate element labels")
         index = {label: i for i, label in enumerate(elements)}
-        n = len(elements)
-        rel = np.eye(n, dtype=bool)
-        for pair in covers:
-            lo, hi = pair
+        rel = np.eye(len(elements), dtype=bool)
+        for lo, hi in covers:
             if lo not in index:
                 raise UnknownLabelError(lo)
             if hi not in index:
                 raise UnknownLabelError(hi)
             rel[index[lo], index[hi]] = True
-        closed = _transitive_closure(rel)
-        mutual = closed & closed.T
-        np.fill_diagonal(mutual, False)
-        if mutual.any():
-            i, j = np.argwhere(mutual)[0]
-            raise CycleError(f"cover relations cycle through {elements[i]!r} and {elements[j]!r}")
-        return cls(elements, closed)
+        return cls(elements, _transitive_closure(rel))
 
     # -- basics ---------------------------------------------------------
 
@@ -153,8 +143,7 @@ class FinitePoset:
     def cover_pairs(self) -> list:
         """Minimal pairs (x, y) with x strictly below y and nothing in between."""
         lt = self.leq & ~np.eye(len(self), dtype=bool)
-        via = (lt.astype(np.uint8) @ lt.astype(np.uint8)) > 0
-        cov = lt & ~via
+        cov = lt & ~(lt @ lt)
         return [(self.elements[i], self.elements[j]) for i, j in np.argwhere(cov)]
 
     # -- directed subsets and suprema -----------------------------------
@@ -164,8 +153,8 @@ class FinitePoset:
         idx = self._subset_indices(subset)
         if idx.size == 0:
             raise EmptySubsetError("directedness is defined for nonempty subsets")
-        sub = self.leq[np.ix_(idx, idx)].astype(np.uint8)
-        return bool(((sub @ sub.T) > 0).all())
+        sub = self.leq[np.ix_(idx, idx)]
+        return bool((sub @ sub.T).all())
 
     def supremum(self, subset: Iterable[str]) -> Optional[str]:
         """Least upper bound label, or None when it does not exist."""
@@ -179,31 +168,26 @@ class FinitePoset:
         return None
 
     def directed_family(self, cap: Optional[int] = None) -> list:
-        """Every nonempty directed subset, paired with its supremum (or None).
+        """Every nonempty directed subset, paired with its supremum.
 
-        The enumeration walks all 2**n - 1 nonempty subsets, so posets larger
-        than the cap raise SizeLimitError instead of silently grinding.
+        A finite nonempty subset is directed iff it has a greatest element m,
+        its supremum, so the family is {m} | S for each m and each S strictly
+        below m, grouped by m.  The cost tracks the family's size (2**n - 1 on
+        an n-chain), so posets larger than the cap raise SizeLimitError.
         """
         cap = DEFAULT_ENUMERATION_CAP if cap is None else int(cap)
         n = len(self)
         if n > cap:
             raise SizeLimitError(f"{n} elements exceeds the enumeration cap of {cap}")
         if self._family is None:
-            leq8 = self.leq.astype(np.uint8)
             family = []
-            for bits in range(1, 1 << n):
-                idx = np.array([i for i in range(n) if bits >> i & 1], dtype=int)
-                sub = leq8[np.ix_(idx, idx)]
-                if not ((sub @ sub.T) > 0).all():
-                    continue
-                members = frozenset(self.elements[i] for i in idx)
-                ub = self.leq[idx, :].all(axis=0)
-                sup = None
-                for z in np.nonzero(ub)[0]:
-                    if self.leq[z, ub].all():
-                        sup = self.elements[z]
-                        break
-                family.append((members, sup))
+            for m, top in enumerate(self.elements):
+                subsets = [frozenset((top,))]
+                for i in np.flatnonzero(self.leq[:, m]):
+                    if i != m:
+                        below = self.elements[i]
+                        subsets += [s | {below} for s in subsets]
+                family += [(s, top) for s in subsets]
             self._family = family
         return self._family
 
@@ -228,8 +212,6 @@ class FinitePoset:
             n = len(self)
             wb = np.ones((n, n), dtype=bool)
             for members, sup in self.directed_family(cap):
-                if sup is None:
-                    continue
                 idx = self._subset_indices(members)
                 covered = self.leq[:, idx].any(axis=1)   # x below some member
                 dominated = self.leq[:, self.index(sup)]  # y below the supremum

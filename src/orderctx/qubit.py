@@ -136,9 +136,13 @@ def transition_probs(state: QubitState, axis: BlochAxis) -> Tuple[float, float]:
         return 1.0, 0.0
     if (s == -a).all():
         return 0.0, 1.0
-    d = min(1.0, max(-1.0, float(np.dot(s, a))))
-    p_plus = (1.0 + d) / 2.0
+    p_plus = _plus_probability(float(np.dot(s, a)))
     return p_plus, 1.0 - p_plus
+
+
+def _plus_probability(d: float) -> float:
+    """(1 + d)/2 for a cosine d, clamped to [-1, 1] against rounding first."""
+    return (1.0 + min(1.0, max(-1.0, d))) / 2.0
 
 
 def measure(state: QubitState, axis: BlochAxis, rng: np.random.Generator) -> Tuple[int, QubitState]:
@@ -249,7 +253,6 @@ def axis_transition_matrix(a: BlochAxis, b: BlochAxis) -> np.ndarray:
     Equivalent to transition_matrix on the amplitude bases, but exact for
     exactly-orthogonal and exactly-equal axes.
     """
-    d = min(1.0, max(-1.0, float(np.dot(a.unit_vector, b.unit_vector))))
-    p = (1.0 + d) / 2.0
+    p = _plus_probability(float(np.dot(a.unit_vector, b.unit_vector)))
     q = 1.0 - p
     return np.array([[p, q], [q, p]])

@@ -91,6 +91,25 @@ class TestBasisFiles:
         with pytest.raises(ValueError):
             load_basis(str(path))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"columns": 3},
+            {"columns": [3]},
+            {"columns": [[1]]},
+            {"columns": [["ab", "cd"]]},
+            {"columns": [[[1.0, 0.0, 0.0]]]},
+            {"columns": [[[True, False]]]},
+        ],
+    )
+    def test_malformed_columns_are_input_errors(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError):
+            load_basis(str(path))
+        assert main(["context", "@" + str(path), "z"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestAxiomsCommand:
     def test_document_shape(self, capsys):
@@ -362,6 +381,25 @@ class TestQubitCommand:
         assert lines[0] == "step,box_or_axis,outcome,entropy_bits,state_components"
         assert lines[1].split(",")[1] == "x"
         assert lines[2].split(",")[3] == "0"
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["context", "z", "1.0", "--tolerance"],
+            ["boxes", "--boxes", "4", "--epsilon"],
+            ["qubit", "--trials", "10", "--axes", "x", "z", "--epsilon"],
+        ],
+        ids=["context-tolerance", "boxes-epsilon", "qubit-epsilon"],
+    )
+    def test_rejected_as_input_errors(self, capsys, argv, value):
+        *head, flag = argv
+        assert main([*head, f"{flag}={value}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestPlumbing:

@@ -68,6 +68,11 @@ class TestAxisDistance:
         with pytest.raises(ParameterOutOfRange):
             contextual_distance(BlochAxis.named("z"), BlochAxis.named("x"), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ParameterOutOfRange):
+            contextual_distance(BlochAxis.named("z"), BlochAxis(1.0), tol=tol)
+
 
 class TestBasisDistance:
     def test_self_distance_is_exactly_zero(self):

@@ -212,6 +212,11 @@ class TestDeterminismVerdicts:
         with pytest.raises(TypeError):
             determinism_check("not a trace")
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ParameterOutOfRange):
+            determinism_check(boxes_experiment(2, 0), epsilon=epsilon)
+
     def test_truncated_search_is_not_deterministic(self):
         # a trace cut off before certainty should be judged on what it shows
         trace = boxes_experiment(8, 7)

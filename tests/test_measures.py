@@ -76,6 +76,13 @@ class TestMeasurementFn:
         with pytest.raises(ParameterOutOfRange):
             MeasurementFn(-0.1, 0.5)
 
+    @pytest.mark.parametrize(
+        "weights", [(math.nan, 1.0), (math.inf, 0.0), (1.0, math.nan), (0.0, math.inf), (1.0, -math.inf)]
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ParameterOutOfRange):
+            MeasurementFn(*weights)
+
     def test_rejects_zero_measure(self):
         with pytest.raises(ParameterOutOfRange):
             MeasurementFn(0.0, 0.0)

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from orderctx import (
@@ -67,6 +68,34 @@ class TestConstruction:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             FinitePoset.from_cover_relations(["a", "a"], [])
+
+    def test_constructor_accepts_a_closed_order(self):
+        leq = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=bool)
+        p = FinitePoset(["a", "b", "c"], leq)
+        assert (p.leq == chain("a", "b", "c").leq).all()
+
+    def test_constructor_leaves_the_callers_matrix_writable(self):
+        leq = np.eye(2, dtype=bool)
+        p = FinitePoset(["a", "b"], leq)
+        assert leq.flags.writeable and not p.leq.flags.writeable
+
+    @pytest.mark.parametrize(
+        "elements, leq",
+        [
+            (["a", "b"], np.eye(3, dtype=bool)),  # shape mismatch
+            (["a", "b"], [[True, True], [False, False]]),  # not reflexive
+            (["a", "b", "c"], [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),  # a<b<c but not a<c
+            (["a", "a"], np.eye(2, dtype=bool)),  # duplicate labels
+        ],
+        ids=["shape", "reflexive", "transitive", "duplicate"],
+    )
+    def test_constructor_rejects_non_orders(self, elements, leq):
+        with pytest.raises(ValueError):
+            FinitePoset(elements, leq)
+
+    def test_constructor_rejects_mutual_pair(self):
+        with pytest.raises(CycleError):
+            FinitePoset(["a", "b"], np.ones((2, 2), dtype=bool))
 
     def test_redundant_covers_are_harmless(self):
         explicit = FinitePoset.from_cover_relations(
@@ -144,6 +173,29 @@ class TestDirectedAndSuprema:
                     assert p.is_directed(combo) == expected
                     if expected:
                         assert fam[frozenset(combo)] == oracle_supremum(p, combo)
+
+
+    def test_long_chain_counts_do_not_wrap(self):
+        # 258 elements: path counts held in uint8 would wrap past 255
+        p = chain(*(f"e{i}" for i in range(258)))
+        covers = p.cover_pairs()
+        assert len(covers) == 257
+        assert ("e0", "e257") not in covers
+        assert p.is_directed(p.elements)
+
+    def test_family_is_exactly_the_directed_subsets(self, rng):
+        # nothing beyond the oracle-directed subsets, each once, with its supremum
+        for _ in range(15):
+            p = random_poset(rng, 7)
+            family = p.directed_family()
+            expected = {
+                (frozenset(combo), oracle_supremum(p, combo))
+                for size in range(1, len(p.elements) + 1)
+                for combo in itertools.combinations(p.elements, size)
+                if oracle_directed(p, combo)
+            }
+            assert set(family) == expected
+            assert len(family) == len(expected)
 
 
 class TestApproximation:
