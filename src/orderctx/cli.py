@@ -108,7 +108,10 @@ def load_basis(path: str) -> NBasis:
 def _basis_entry(entry) -> complex:
     if not (isinstance(entry, list) and len(entry) == 2 and all(type(v) in (int, float) for v in entry)):
         raise ValueError(f"basis entry {entry!r} is not a [re, im] pair of numbers")
-    return complex(*entry)
+    try:
+        return complex(*entry)
+    except OverflowError:
+        raise ValueError(f"basis entry {entry!r} is too large for a float") from None
 
 
 def parse_basis_arg(arg: str):

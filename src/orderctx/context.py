@@ -122,6 +122,8 @@ def poset_orthogonal(
     elements are orthogonal when every common upper bound has zero content;
     an empty intersection counts as orthogonal.
     """
+    if not 0.0 <= tol < math.inf:
+        raise ParameterOutOfRange("tolerance must be nonnegative and finite")
     for e in p.elements:
         if e not in f:
             raise UnknownLabelError(f"no content value for element {e!r}")

@@ -18,11 +18,17 @@ import numpy as np
 
 from .errors import IndexOutOfRange, InvalidDimension, InvalidPermutation, ParameterOutOfRange
 from .measures import shannon_bits
-from .qubit import BlochAxis, QubitState, run_sequence, transition_probs
-from .rng import philox_generator
+from .qubit import BlochAxis, QubitState, transition_probs
+from .rng import philox_generator  # noqa: F401  (a binding perfbench's tracer test reads)
+from .rng import stream_uniforms
 from .states import ClassicalState, eliminate, mixed, pure
 
 DEFAULT_EPSILON = 0.01
+
+# qubit_experiment simulates trials in blocks of this many: large enough that
+# numpy's per-call overhead is spread thin, small enough that the draws of a
+# block stay a few hundred kilobytes whatever the trial count.
+_TRIAL_BLOCK = 4096
 
 
 @dataclass
@@ -122,34 +128,56 @@ def qubit_experiment(
     trials: int,
     seed: int,
 ) -> QuantumAggregate:
-    """Run the sequence many times; per-trial streams keyed by (seed, trial)."""
+    """Run the sequence many times; per-trial streams keyed by (seed, trial).
+
+    Trial t measures step k with draw k of stream (seed, t), exactly as
+    ``run_sequence(input_state, axes, philox_generator(seed, t))`` would, so
+    the counts equal a trial-by-trial replay.  The trials are simulated
+    together, a block at a time: after the first step a trial's state is the
+    plus or minus eigenstate of the previous axis, so each step needs only two
+    outcome probabilities, chosen per trial by its previous outcome.
+    """
     axes = tuple(axes)
     if not axes:
         raise ParameterOutOfRange("need at least one measurement axis")
     if trials < 1:
         raise ParameterOutOfRange("trials must be positive")
-    counts = np.zeros((len(axes), 2), dtype=np.int64)
-    seen = set()
+    # p(+) at step k after a + and after a - outcome at step k-1; the same
+    # transition_probs calls run_sequence makes, so eigenstates stay exact
+    branch_probs = [
+        (transition_probs(prev.plus_state(), axis)[0], transition_probs(prev.minus_state(), axis)[0])
+        for prev, axis in zip(axes, axes[1:])
+    ]
+    first_prob = transition_probs(input_state, axes[0])[0]
+    repeats = [axes[k] == axes[k - 1] for k in range(1, len(axes))]
+    plus_counts = [0] * len(axes)
     repeat_hits = 0
-    repeat_total = 0
-    for trial in range(trials):
-        rng = philox_generator(seed, stream=trial)
-        trace = run_sequence(input_state, axes, rng, seed=seed)
-        prev_axis = None
-        prev_outcome = 0
-        for k, step in enumerate(trace.steps):
-            counts[k, 0 if step.outcome == 1 else 1] += 1
-            seen.add(step.post_state)
-            if prev_axis is not None and step.axis == prev_axis:
-                repeat_total += 1
-                repeat_hits += int(step.outcome == prev_outcome)
-            prev_axis, prev_outcome = step.axis, step.outcome
+    for start in range(0, trials, _TRIAL_BLOCK):
+        streams = np.arange(start, min(start + _TRIAL_BLOCK, trials), dtype=np.uint64)
+        draws = stream_uniforms(seed, streams, len(axes))
+        plus = draws[:, 0] < first_prob
+        plus_counts[0] += int(np.count_nonzero(plus))
+        for k in range(1, len(axes)):
+            p_after_plus, p_after_minus = branch_probs[k - 1]
+            prev, plus = plus, draws[:, k] < np.where(plus, p_after_plus, p_after_minus)
+            plus_counts[k] += int(np.count_nonzero(plus))
+            if repeats[k - 1]:
+                repeat_hits += int(np.count_nonzero(plus == prev))
+    # every trial's post-measurement states are these QubitStates, so the set
+    # keeps their hash and == semantics (a -0.0 component hashes apart)
+    seen = set()
+    for axis, plus in zip(axes, plus_counts):
+        if plus:
+            seen.add(axis.plus_state())
+        if plus < trials:
+            seen.add(axis.minus_state())
+    repeat_total = sum(repeats) * trials
     return QuantumAggregate(
         axes=axes,
         trials=trials,
         seed=seed,
         per_step_entropy_bits=predicted_step_entropies(input_state, axes),
-        empirical_frequencies=[(int(p), int(m)) for p, m in counts],
+        empirical_frequencies=[(plus, trials - plus) for plus in plus_counts],
         distinct_maximal_states=len(seen),
         same_axis_repeat_probability=(repeat_hits / repeat_total) if repeat_total else None,
     )
@@ -166,16 +194,9 @@ def fixed_basis_repeat(
     Ideal collapse makes the second outcome certain, so this returns exactly
     1.0; it exists as an executable check of that claim, not as an estimate.
     """
-    if trials < 1:
-        raise ParameterOutOfRange("trials must be positive")
     if input_state is None:
         input_state = BlochAxis.named("z").plus_state()
-    hits = 0
-    for trial in range(trials):
-        rng = philox_generator(seed, stream=trial)
-        trace = run_sequence(input_state, [axis, axis], rng, seed=seed)
-        hits += int(trace.steps[0].outcome == trace.steps[1].outcome)
-    return hits / trials
+    return qubit_experiment(input_state, [axis, axis], trials, seed).same_axis_repeat_probability
 
 
 @dataclass

@@ -100,6 +100,7 @@ class TestBasisFiles:
             {"columns": [["ab", "cd"]]},
             {"columns": [[[1.0, 0.0, 0.0]]]},
             {"columns": [[[True, False]]]},
+            {"columns": [[[10**400, 0.0]]]},  # too large for a float
         ],
     )
     def test_malformed_columns_are_input_errors(self, capsys, tmp_path, doc):

@@ -235,3 +235,10 @@ class TestPosetOrthogonality:
         p = FinitePoset.from_cover_relations(["lo", "hi"], [("lo", "hi")])
         with pytest.raises(ParameterOutOfRange):
             poset_orthogonal(p, {"lo": 0.0, "hi": 1.0}, "lo", "hi")
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # a vee under a: content grows from a up to c, which a NaN tol let pass
+        p = FinitePoset.from_cover_relations(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        with pytest.raises(ParameterOutOfRange):
+            poset_orthogonal(p, {"a": 0.0, "b": 0.0, "c": 1.0}, "b", "c", tol=tol)

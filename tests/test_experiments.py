@@ -15,9 +15,11 @@ from orderctx import (
     determinism_check,
     fixed_basis_repeat,
     mixed,
+    philox_generator,
     predicted_step_entropies,
     pure,
     qubit_experiment,
+    run_sequence,
     shannon_bits,
 )
 
@@ -144,6 +146,70 @@ class TestQubitAggregate:
             qubit_experiment(z.plus_state(), [], trials=10, seed=0)
         with pytest.raises(ParameterOutOfRange):
             qubit_experiment(z.plus_state(), [z], trials=0, seed=0)
+
+
+_Z, _X, _Y = (BlochAxis.named(n) for n in "zxy")
+_TILT = BlochAxis(0.83, 2.1)
+_FLIP = BlochAxis(math.pi / 2, math.pi)  # unit vector (-1, 0, 0): x.minus_state() holds -0.0s
+_A, _B = BlochAxis(0.3, 1.0), BlochAxis(2.5, 4.0)
+
+# (input, axes, trials, seed) -> (empirical_frequencies, distinct_maximal_states,
+# same_axis_repeat_probability), pinned from the per-trial engine.  The trial
+# counts straddle the batched engine's block edges; the seeds include a
+# negative one and one at or above 2**63.
+GOLDEN = [
+    ((_Z.plus_state(), [_X], 4095, 0), ([(2118, 1977)], 2, None)),
+    ((_Z.plus_state(), [_X, _Y], 4096, -3), ([(2093, 2003), (2063, 2033)], 4, None)),
+    ((_Z.plus_state(), [_X, _X], 4097, 2**63 + 5), ([(2085, 2012), (2085, 2012)], 2, 1.0)),
+    (
+        (_Z.plus_state(), [_Z, _X, _Z, _X], 10001, 42),
+        ([(10001, 0), (4999, 5002), (5058, 4943), (5024, 4977)], 4, None),
+    ),
+    ((_X.plus_state(), [_X, _Y, _X], 500, 7), ([(500, 0), (248, 252), (256, 244)], 4, None)),
+    ((_Y.minus_state(), [_TILT, _TILT, _Y], 3000, 11), ([(542, 2458), (542, 2458), (874, 2126)], 4, 1.0)),
+    # x and _FLIP share two states under ==, but -0.0 hashes apart: four counted
+    ((_Z.plus_state(), [_X, _FLIP, _X, _FLIP], 1000, 5), ([(516, 484), (484, 516), (516, 484), (484, 516)], 4, None)),
+    (
+        (_Y.minus_state(), [_A, _B, _Z, _A, _Y], 2048, 123456789),
+        ([(778, 1270), (1274, 774), (811, 1237), (814, 1234), (952, 1096)], 8, None),
+    ),
+    ((_Z.minus_state(), [_Z, _Z, _X], 100, 1), ([(0, 100), (0, 100), (50, 50)], 3, 1.0)),
+    ((_Z.plus_state(), [_Z, BlochAxis(0.001)], 1, 2), ([(1, 0), (1, 0)], 2, None)),
+]
+
+
+class TestQubitGolden:
+    @pytest.mark.parametrize("config, expected", GOLDEN)
+    def test_aggregate_matches_pinned_values(self, config, expected):
+        agg = qubit_experiment(*config)
+        frequencies, distinct, repeat = expected
+        assert agg.empirical_frequencies == frequencies
+        assert agg.distinct_maximal_states == distinct
+        assert agg.same_axis_repeat_probability == repeat
+
+    def test_matches_trial_by_trial_replay(self, rng):
+        # reference: every trial replayed through run_sequence on its own stream
+        named = [_Z, _X, _Y, _FLIP]
+        for _ in range(12):
+            pool = named + [random_sphere_axis(rng) for _ in range(2)]
+            axes = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 6)))]
+            state = pool[int(rng.integers(len(pool)))]
+            state = state.plus_state() if rng.random() < 0.5 else state.minus_state()
+            trials, seed = int(rng.integers(1, 300)), int(rng.integers(-(2**40), 2**40))
+            counts = np.zeros((len(axes), 2), dtype=int)
+            seen, hits, total = set(), 0, 0
+            for trial in range(trials):
+                steps = run_sequence(state, axes, philox_generator(seed, trial)).steps
+                for k, step in enumerate(steps):
+                    counts[k, 0 if step.outcome == 1 else 1] += 1
+                    seen.add(step.post_state)
+                    if k and step.axis == steps[k - 1].axis:
+                        total += 1
+                        hits += step.outcome == steps[k - 1].outcome
+            agg = qubit_experiment(state, axes, trials, seed)
+            assert agg.empirical_frequencies == [tuple(row) for row in counts.tolist()]
+            assert agg.distinct_maximal_states == len(seen)
+            assert agg.same_axis_repeat_probability == (hits / total if total else None)
 
 
 class TestFixedBasisRepeat:
